@@ -18,32 +18,18 @@ import numpy as np
 
 from .errors import (CheckpointFormatError, CheckpointTruncatedError,
                      CheckpointVersionError, ShapeError)
-from .model import ModelConfig, ModelParams, params_from_dict, params_to_dict
+from .model import (ModelConfig, ModelParams, init_model_params, params_from_dict,
+                    params_to_dict)
+from .rng import SeededRng
 
 MAGIC = b"WSPL"
 VERSION = 1
 
 
 def _expected_shapes(config: ModelConfig) -> dict[str, tuple]:
-    h = config.hidden
-    f = config.conv_filters
-    two_h = 2 * h
-    attn = config.effective_attention_width()
-    shapes = {
-        "conv.kernels": (f, 1, config.conv_kernel),
-        "conv.bias": (f,),
-    }
-    for name, d_in in (("bilstm1", f), ("bilstm2", two_h)):
-        for direction in ("fwd", "bwd"):
-            shapes[f"{name}.{direction}.w_x"] = (4 * h, d_in)
-            shapes[f"{name}.{direction}.w_h"] = (4 * h, h)
-            shapes[f"{name}.{direction}.b"] = (4 * h,)
-    shapes["attention.w_h"] = (attn, two_h)
-    shapes["attention.b_h"] = (attn,)
-    shapes["attention.v"] = (attn,)
-    shapes["dense.w"] = (config.n_appliances, two_h)
-    shapes["dense.b"] = (config.n_appliances,)
-    return shapes
+    """Block name -> shape, read off a freshly initialized model."""
+    params = init_model_params(config, SeededRng(0))
+    return {name: arr.shape for name, arr in params_to_dict(params).items()}
 
 
 def checkpoint_save(params: ModelParams, config: ModelConfig, path) -> None:
@@ -98,7 +84,7 @@ def checkpoint_load(path) -> tuple[ModelParams, ModelConfig]:
                 raise CheckpointFormatError(f"unknown parameter block '{name}'")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"rank of '{name}'"))
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, f"dims of '{name}'"))
-            if dims != tuple(int(d) for d in expected[name]):
+            if dims != expected[name]:
                 block = name.split(".")[0]
                 raise ShapeError(
                     f"checkpoint block '{block}' has shape {dims}, "

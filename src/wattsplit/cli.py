@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, asdict
+from dataclasses import MISSING, asdict, field, fields, make_dataclass
 
 import numpy as np
 
@@ -26,47 +26,31 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Fully-resolved run settings: model hyperparameters plus pipeline knobs."""
+# RunConfig's model fields are ModelConfig's, with its defaults; the appliance
+# count has none there and defaults to 1 here (train sets it from the scene).
+_MODEL_FIELDS = [(f.name, f.type, field(default=1 if f.default is MISSING else f.default))
+                 for f in fields(ModelConfig)]
 
-    # model defaults: 20 epochs, MSE, Adam, 1 conv / 2 BiLSTM / 1 attention /
-    # 2 dropout / 1 dense
-    n_appliances: int = 1
-    window_len: int = 64
-    conv_filters: int = 16
-    conv_kernel: int = 5
-    conv_stride: int = 1
-    pool: int = 2
-    hidden: int = 64
-    bilstm_layers: int = 2
-    attention_width: int = 0
-    dropout_rate: float = 0.25
-    learning_rate: float = 1e-3
-    epochs: int = 20
-    batch_size: int = 64
-    seed: int = 42
-    on_threshold: float = 0.05
-    # pipeline
-    data: str | None = None
-    redd_dir: str | None = None
-    out_dir: str = "run"
-    window_stride: int = 4
-    split_ratio: float = 0.8
-    downsample_method: str = "mean"
-    downsample_factor: int = 10
-    threads: int = 1
+_PIPELINE_FIELDS = [
+    ("data", "str | None", field(default=None)),
+    ("redd_dir", "str | None", field(default=None)),
+    ("out_dir", "str", field(default="run")),
+    ("window_stride", "int", field(default=4)),
+    ("split_ratio", "float", field(default=0.8)),
+    ("downsample_method", "str", field(default="mean")),
+    ("downsample_factor", "int", field(default=10)),
+    ("threads", "int", field(default=1)),
+]
 
-    def model_config(self, n_appliances: int | None = None) -> ModelConfig:
-        return ModelConfig(
-            n_appliances=n_appliances if n_appliances is not None else self.n_appliances,
-            window_len=self.window_len, conv_filters=self.conv_filters,
-            conv_kernel=self.conv_kernel, conv_stride=self.conv_stride,
-            pool=self.pool, hidden=self.hidden, bilstm_layers=self.bilstm_layers,
-            attention_width=self.attention_width, dropout_rate=self.dropout_rate,
-            learning_rate=self.learning_rate, epochs=self.epochs,
-            batch_size=self.batch_size, seed=self.seed, on_threshold=self.on_threshold)
 
+def _model_config(self) -> ModelConfig:
+    return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
+
+
+RunConfig = make_dataclass(
+    "RunConfig", _MODEL_FIELDS + _PIPELINE_FIELDS,
+    namespace={"__doc__": "Fully-resolved run settings: model hyperparameters plus pipeline knobs.",
+               "__module__": __name__, "model_config": _model_config})
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -166,26 +150,31 @@ def _require_data(config: RunConfig) -> str:
 # Scene preparation helpers shared by train/eval
 # ---------------------------------------------------------------------------
 
-def _load_normalized_scene(config: RunConfig):
-    """Read the scene CSV, split chronologically, normalize on train stats."""
+def _read_scene(config: RunConfig):
+    """Read the scene CSV and split it chronologically into train and test slices."""
     path = _require_data(config)
     aggregate, appliances, names = data.read_scene_csv(path)
     if not names:
         raise DomainError(f"scene {path} has no appliance columns")
-    n = len(aggregate)
-    train_slice, test_slice = data.split_train_test(n, config.split_ratio, config.window_len)
-
-    agg_stats = data.compute_norm_stats(aggregate.values[train_slice])
-    app_stats = [data.compute_norm_stats(app.values[train_slice]) for app in appliances]
-
-    agg_norm = data.TimeSeries(aggregate.timestamps, data.normalize(aggregate.values, agg_stats))
-    apps_norm = [data.TimeSeries(a.timestamps, data.normalize(a.values, s))
-                 for a, s in zip(appliances, app_stats)]
-    return agg_norm, apps_norm, names, agg_stats, app_stats, train_slice, test_slice
+    train_slice, test_slice = data.split_train_test(len(aggregate), config.split_ratio,
+                                                    config.window_len)
+    return aggregate, appliances, names, train_slice, test_slice
 
 
-def _slice_series(series: data.TimeSeries, sl: slice) -> data.TimeSeries:
-    return data.TimeSeries(series.timestamps[sl], series.values[sl])
+def _normalize_scene(aggregate, appliances, agg_stats, app_stats):
+    """Normalize the aggregate and each appliance series by the given stats."""
+    def norm(series, stats):
+        return data.TimeSeries(series.timestamps, data.normalize(series.values, stats))
+
+    return norm(aggregate, agg_stats), [norm(a, s) for a, s in zip(appliances, app_stats)]
+
+
+def _windows(agg, apps, sl: slice, window_len: int, stride: int) -> data.WindowBatch:
+    """Windows over one chronological slice of a normalized scene."""
+    def part(series):
+        return data.TimeSeries(series.timestamps[sl], series.values[sl])
+
+    return data.make_windows(part(agg), [part(a) for a in apps], window_len, stride)
 
 
 def _stats_payload(names, agg_stats, app_stats) -> dict:
@@ -234,14 +223,10 @@ def cmd_synth(args) -> int:
                           duration_s=raw.get("duration_s", 86400.0),
                           sample_period_s=raw.get("sample_period_s", 10),
                           seed=args.seed if args.seed is not None else raw.get("seed", 0))
-    aggregate, appliances, meta = synth_scene(spec)
+    aggregate, appliances, meta = data.synth_generate(spec)
     data.write_scene_csv(args.out, aggregate, appliances, [m.label for m in meta])
     print(f"wrote {len(aggregate)} samples x {len(appliances)} appliances to {args.out}")
     return 0
-
-
-def synth_scene(spec: data.SynthSpec):
-    return data.synth_generate(spec)
 
 
 def cmd_prepare(args) -> int:
@@ -270,17 +255,15 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     os.makedirs(config.out_dir, exist_ok=True)
-    agg, apps, names, agg_stats, app_stats, train_slice, test_slice = \
-        _load_normalized_scene(config)
+    aggregate, appliances, names, train_slice, test_slice = _read_scene(config)
+    agg_stats = data.compute_norm_stats(aggregate.values[train_slice])
+    app_stats = [data.compute_norm_stats(app.values[train_slice]) for app in appliances]
     config.n_appliances = len(names)
-    model_config = config.model_config(len(names))
+    model_config = config.model_config()
 
-    train_batch = data.make_windows(_slice_series(agg, train_slice),
-                                    [_slice_series(a, train_slice) for a in apps],
-                                    config.window_len, config.window_stride)
-    val_batch = data.make_windows(_slice_series(agg, test_slice),
-                                  [_slice_series(a, test_slice) for a in apps],
-                                  config.window_len, config.window_stride)
+    agg, apps = _normalize_scene(aggregate, appliances, agg_stats, app_stats)
+    train_batch = _windows(agg, apps, train_slice, config.window_len, config.window_stride)
+    val_batch = _windows(agg, apps, test_slice, config.window_len, config.window_stride)
 
     params, report = fit(train_batch, val_batch, model_config)
 
@@ -309,16 +292,15 @@ def cmd_eval(args) -> int:
         if not os.path.isfile(path):
             raise DomainError(f"missing training artifact: {path}")
     params, model_config = checkpoint_load(ckpt_path)
-    names, agg_stats_saved, app_stats_saved = _load_stats(stats_path)
+    names, agg_stats, app_stats = _load_stats(stats_path)
 
-    agg, apps, scene_names, _, _, train_slice, test_slice = _load_normalized_scene(config)
+    aggregate, appliances, scene_names, _, test_slice = _read_scene(config)
     if scene_names != names:
         raise DomainError(
             f"scene appliances {scene_names} do not match trained appliances {names}")
 
-    test_batch = data.make_windows(_slice_series(agg, test_slice),
-                                   [_slice_series(a, test_slice) for a in apps],
-                                   model_config.window_len, stride=1)
+    agg, apps = _normalize_scene(aggregate, appliances, agg_stats, app_stats)
+    test_batch = _windows(agg, apps, test_slice, model_config.window_len, stride=1)
     predictions = predict_batches(test_batch.inputs, params, model_config,
                                   chunk=model_config.batch_size)
     predictions = np.clip(predictions, 0.0, 1.0)
@@ -327,13 +309,13 @@ def cmd_eval(args) -> int:
     for j, name in enumerate(names):
         est = predictions[:, j]
         truth = test_batch.targets[:, j]
-        reports.append(metrics.evaluate_appliance(name, est, truth, app_stats_saved[j],
+        reports.append(metrics.evaluate_appliance(name, est, truth, app_stats[j],
                                                   config.on_threshold))
         metrics.write_plot_csv(
             os.path.join(config.out_dir, f"plot_{_safe_name(name)}.csv"),
             test_batch.midpoints,
-            data.denormalize(truth, app_stats_saved[j]),
-            data.denormalize(est, app_stats_saved[j]))
+            data.denormalize(truth, app_stats[j]),
+            data.denormalize(est, app_stats[j]))
 
     report_csv = metrics.render_report(reports, "csv")
     with open(os.path.join(config.out_dir, "report.csv"), "w", newline="") as fh:

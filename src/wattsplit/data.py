@@ -6,7 +6,7 @@ window extraction, and synthetic household generation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -447,14 +447,17 @@ def write_scene_csv(path, aggregate: TimeSeries, appliances: list[TimeSeries],
 
 
 def read_scene_csv(path):
-    """Inverse of write_scene_csv: returns (aggregate, appliances, names)."""
+    """Inverse of write_scene_csv: returns (aggregate, appliances, names).
+
+    Rejects `nan` and `inf` in any column, as parse_channel does.
+    """
     with open(path, "r") as fh:
         header = fh.readline().rstrip("\n")
         fields = header.split(",")
         if len(fields) < 2 or fields[0] != "timestamp" or fields[1] != "aggregate":
             raise ParseError(f"bad scene header {header!r}", line=1)
         names = fields[2:]
-        stamps, cols = [], [[] for _ in fields[1:]]
+        stamps, cols, linenos = [], [[] for _ in fields[1:]], []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -468,9 +471,17 @@ def read_scene_csv(path):
                     cols[j].append(float(cell))
             except ValueError:
                 raise ParseError(f"malformed row {line!r}", line=lineno) from None
+            linenos.append(lineno)
+    # One vectorized check after the loop keeps the per-cell parse cost unchanged.
+    values = np.asarray(cols)  # (columns, rows)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=0))[0])
+        col = int(np.flatnonzero(~finite[:, row])[0])
+        raise ParseError(f"non-finite value in column '{fields[col + 1]}'", line=linenos[row])
     stamps = np.asarray(stamps, dtype=np.int64)
-    aggregate = TimeSeries(stamps, np.asarray(cols[0]))
-    appliances = [TimeSeries(stamps, np.asarray(c)) for c in cols[1:]]
+    aggregate = TimeSeries(stamps, values[0])
+    appliances = [TimeSeries(stamps, v) for v in values[1:]]
     return aggregate, appliances, names
 
 

@@ -85,21 +85,19 @@ def check_maxpool(seed: int) -> float:
 
 
 def check_lstm(seed: int) -> float:
+    """The unidirectional LSTM: the 1-direction call of the recurrence kernel."""
     rng = SeededRng(seed)
-    x = _rand(rng, (2, 5, 3))
+    xs = _rand(rng, (1, 5, 2, 3))
     p = layers.LstmParams(_rand(rng, (16, 3)), _rand(rng, (16, 4)), _rand(rng, (16,)))
-    h0 = _rand(rng, (2, 4))
-    c0 = _rand(rng, (2, 4))
-    proj = _rand(rng, (2, 5, 4))
+    proj = _rand(rng, (1, 5, 2, 4))
 
     def loss():
-        hs, _ = layers.lstm_seq_forward(x, p, h0, c0)
+        hs, _ = layers.lstm_forward(xs, [p])
         return float(np.sum(hs * proj))
 
-    _, cache = layers.lstm_seq_forward(x, p, h0, c0)
-    dx, dh0, dc0, (dwx, dwh, db) = layers.lstm_seq_backward(cache, proj)
-    return _check(loss, [(x, dx), (h0, dh0), (c0, dc0),
-                         (p.w_x, dwx), (p.w_h, dwh), (p.b, db)])
+    _, cache = layers.lstm_forward(xs, [p])
+    dxs, [(dwx, dwh, db)] = layers.lstm_backward(cache, proj)
+    return _check(loss, [(xs, dxs), (p.w_x, dwx), (p.w_h, dwh), (p.b, db)])
 
 
 def check_bilstm(seed: int) -> float:

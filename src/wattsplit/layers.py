@@ -2,10 +2,11 @@
 additive attention, dense head, and inverted dropout.
 
 Every block has a forward evaluation and a matching backward (vector-Jacobian)
-evaluation.  The `*_batch` functions are the workhorses and operate on arrays
-with a leading batch axis using time-major layout (batch, time, channels);
-thin single-sample wrappers expose the channel-major conventions used
-elsewhere in the toolkit.
+evaluation over arrays with a leading batch axis, laid out as (batch, time,
+channels).  The recurrence is one LSTM kernel over a leading direction axis
+of size 1 or 2, with time-major input (directions, time, batch, features);
+a unidirectional LSTM is its 1-direction call, and the BiLSTM stacks the
+forward and the time-reversed sequence as its 2 directions.
 """
 
 from __future__ import annotations
@@ -15,27 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .numeric import as_tensor
+from .numeric import as_tensor, softmax, tanh
 from .rng import SeededRng
 
 
-def _tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """tanh computed as 1 - 2/(1 + e^{2x}); equals np.tanh to ~1 ulp.
-
-    The exp-based form is markedly faster than np.tanh on cache-resident
-    arrays; both overflow tails saturate to the correct +/-1.
-    """
-    t = np.multiply(x, 2.0, out=out) if out is not None else x * 2.0
-    with np.errstate(over="ignore"):
-        np.exp(t, out=t)
-        t += 1.0
-        np.reciprocal(t, out=t)
-    t *= -2.0
-    t += 1.0
-    return t
-
-
-# Chunk length (elements) for applying _tanh to arrays too big for L2 cache.
+# Chunk length (elements) for applying tanh to arrays too big for L2 cache.
 _TANH_BLOCK = 65536
 
 
@@ -47,7 +32,7 @@ def _tanh_large(x: np.ndarray) -> np.ndarray:
     of = out.reshape(-1)
     for i in range(0, xf.size, _TANH_BLOCK):
         sl = slice(i, i + _TANH_BLOCK)
-        _tanh(xf[sl], out=of[sl])
+        tanh(xf[sl], out=of[sl])
     return out
 
 
@@ -111,24 +96,6 @@ class LstmParams:
     @property
     def input_size(self):
         return self.w_x.shape[1]
-
-
-@dataclass
-class LstmState:
-    """Hidden and cell state vectors of equal length."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.h = as_tensor(self.h)
-        self.c = as_tensor(self.c)
-        if self.h.shape != self.c.shape or self.h.ndim != 1:
-            raise ShapeError(f"state vectors must be equal-length 1-D, got {self.h.shape} and {self.c.shape}")
-
-
-def zero_state(hidden: int) -> LstmState:
-    return LstmState(np.zeros(hidden), np.zeros(hidden))
 
 
 @dataclass
@@ -279,15 +246,6 @@ def conv1d_backward_batch(cache, dout):
     return dx, (dk, db)
 
 
-def conv1d_forward(x: np.ndarray, p: ConvParams, stride: int = 1) -> np.ndarray:
-    """Single window, channel-major: x (C, T) -> (F, T')."""
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"expected (channels, time) input, got shape {x.shape}")
-    out, _ = conv1d_forward_batch(x.T[None], p, stride)
-    return out[0].T
-
-
 # ---------------------------------------------------------------------------
 # Max pooling (non-overlapping windows, remainder dropped)
 # ---------------------------------------------------------------------------
@@ -318,153 +276,43 @@ def maxpool1d_backward_batch(cache, dout):
     return dx
 
 
-def maxpool1d_forward(x: np.ndarray, pool: int) -> np.ndarray:
-    """Single sample, channel-major: x (F, T) -> (F, T//pool)."""
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"expected (channels, time) input, got shape {x.shape}")
-    out, _ = maxpool1d_forward_batch(x.T[None], pool)
-    return out[0].T
-
-
 # ---------------------------------------------------------------------------
-# LSTM
+# LSTM (one kernel over a leading direction axis)
 # ---------------------------------------------------------------------------
 
-def lstm_seq_forward(x: np.ndarray, p: LstmParams, h0: np.ndarray | None = None,
-                     c0: np.ndarray | None = None):
-    """Run the cell over a sequence. x: (B, T, D) -> (hidden (B, T, H), cache)."""
-    x = as_tensor(x)
-    batch, t_len, d_in = x.shape
-    if d_in != p.input_size:
-        raise ShapeError(f"input width {d_in} does not match LSTM input size {p.input_size}")
-    hid = p.hidden_size
-    h = np.zeros((batch, hid)) if h0 is None else as_tensor(h0)
-    c = np.zeros((batch, hid)) if c0 is None else as_tensor(c0)
-    if h.shape != (batch, hid) or c.shape != (batch, hid):
-        raise ShapeError(f"initial state must be {(batch, hid)}, got {h.shape} and {c.shape}")
-    h0_arr, c0_arr = h, c
+def lstm_forward(xs: np.ndarray, ps: list[LstmParams]):
+    """Run D independent LSTMs from zero state, one per leading slice of `xs`.
 
-    xp = x.reshape(batch * t_len, d_in) @ p.w_x.T + p.b
-    # Time-major working copies keep the per-step slices contiguous.
-    xp = np.ascontiguousarray(xp.reshape(batch, t_len, 4 * hid).transpose(1, 0, 2))
-
-    gates = np.empty((t_len, batch, 4 * hid))  # activated; candidate block holds tanh
-    tanh_c = np.empty((t_len, batch, hid))
-    c_prev = np.empty((t_len, batch, hid))
-    h_prev = np.empty((t_len, batch, hid))
-    hs = np.empty((t_len, batch, hid))
-
-    w_h_t = p.w_h.T
-    g_lo, g_hi = 2 * hid, 3 * hid
-    for t in range(t_len):
-        h_prev[t] = h
-        c_prev[t] = c
-        a = xp[t] + h @ w_h_t
-        np.clip(a, -60.0, 60.0, out=a)
-        g_raw = a[:, g_lo:g_hi].copy()
-        # sigmoid of the whole block in place; candidate block fixed up after
-        np.negative(a, out=a)
-        np.exp(a, out=a)
-        a += 1.0
-        np.reciprocal(a, out=a)
-        gg = _tanh(g_raw)
-        a[:, g_lo:g_hi] = gg
-        gates[t] = a
-        c = a[:, hid:g_lo] * c + a[:, :hid] * gg
-        tc = _tanh(c)
-        tanh_c[t] = tc
-        h = a[:, g_hi:] * tc
-        hs[t] = h
-
-    cache = (x, p, gates, tanh_c, c_prev, h_prev, c, h0_arr, c0_arr)
-    return np.ascontiguousarray(hs.transpose(1, 0, 2)), cache
-
-
-def lstm_seq_backward(cache, dhs, dc_last: np.ndarray | None = None):
-    """Backward through the whole sequence.
-
-    dhs: gradient w.r.t. every hidden output (B, T, H); dc_last: optional
-    gradient w.r.t. the final cell state.  Returns (dx, dh0, dc0, (dwx, dwh, db)).
+    xs: time-major input (D, T, B, I) with one LstmParams per direction in
+    `ps`; D is 1 for a plain LSTM and 2 for a BiLSTM.  Returns (hidden
+    (D, T, B, H), cache).  The directions share each time step's batched
+    matmul; reversing a direction in time is up to the caller.
     """
-    x, p, gates, tanh_c, c_prev, h_prev, _, _, _ = cache
-    batch, t_len, hid = dhs.shape
-    dhs_t = dhs.transpose(1, 0, 2)
-    da_all = np.empty((t_len, batch, 4 * hid))
-    dh_next = np.zeros((batch, hid))
-    dc_next = np.zeros((batch, hid)) if dc_last is None else dc_last.copy()
-    g_lo, g_hi = 2 * hid, 3 * hid
-    for t in range(t_len - 1, -1, -1):
-        g = gates[t]
-        gi, gf, gg, go = g[:, :hid], g[:, hid:g_lo], g[:, g_lo:g_hi], g[:, g_hi:]
-        tc = tanh_c[t]
-        dh = dhs_t[t] + dh_next
-        do = dh * tc
-        dc = dc_next + dh * go * (1.0 - tc * tc)
-        da = da_all[t]
-        da[:, :hid] = (dc * gg) * (gi * (1.0 - gi))
-        da[:, hid:g_lo] = (dc * c_prev[t]) * (gf * (1.0 - gf))
-        da[:, g_lo:g_hi] = (dc * gi) * (1.0 - gg * gg)
-        da[:, g_hi:] = (do * go) * (1.0 - go)
-        dc_next = dc * gf
-        dh_next = da @ p.w_h
-    da_flat = da_all.reshape(t_len * batch, 4 * hid)
-    x_t = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t_len * batch, -1)
-    h_prev_flat = h_prev.reshape(t_len * batch, hid)
-    dwx = da_flat.T @ x_t
-    dwh = da_flat.T @ h_prev_flat
-    db = da_flat.sum(axis=0)
-    dx = (da_flat @ p.w_x).reshape(t_len, batch, -1)
-    dx = np.ascontiguousarray(dx.transpose(1, 0, 2))
-    return dx, dh_next, dc_next, (dwx, dwh, db)
-
-
-def lstm_cell_step(x_t: np.ndarray, prev: LstmState, p: LstmParams) -> LstmState:
-    """One cell update: gates i,f,o sigmoid, candidate tanh; new (h, c)."""
-    x_t = as_tensor(x_t)
-    if x_t.shape != (p.input_size,):
-        raise ShapeError(f"input must be ({p.input_size},), got {x_t.shape}")
-    if prev.h.shape != (p.hidden_size,):
-        raise ShapeError(f"state width {prev.h.shape} does not match hidden size {p.hidden_size}")
-    hs, cache = lstm_seq_forward(x_t[None, None, :], p, prev.h[None], prev.c[None])
-    c_final = cache[6]
-    return LstmState(hs[0, 0], c_final[0])
-
-
-# ---------------------------------------------------------------------------
-# BiLSTM
-# ---------------------------------------------------------------------------
-
-def bilstm_forward_batch(x: np.ndarray, p: BiLstmParams):
-    """x: (B, T, D) -> (concatenated hidden (B, T, 2H), cache); zero initial states.
-
-    Both directions run in one stacked recurrence (leading axis 2 = fwd/bwd)
-    so each time step costs a single batched matmul.
-    """
-    x = as_tensor(x)
-    batch, t_len, d_in = x.shape
+    xs = as_tensor(xs)
+    n_dir, t_len, batch, d_in = xs.shape
+    if n_dir != len(ps):
+        raise ShapeError(f"input has {n_dir} directions but {len(ps)} LSTM parameter sets")
     if t_len == 0:
-        raise DomainError("BiLSTM input sequence is empty")
-    if d_in != p.fwd.input_size:
-        raise ShapeError(f"input width {d_in} does not match LSTM input size {p.fwd.input_size}")
-    hid = p.hidden_size
+        raise DomainError("LSTM input sequence is empty")
+    for p in ps:
+        if d_in != p.input_size:
+            raise ShapeError(f"input width {d_in} does not match LSTM input size {p.input_size}")
+    hid = ps[0].hidden_size
     g_lo, g_hi = 2 * hid, 3 * hid
 
-    w_x = np.stack([p.fwd.w_x.T, p.bwd.w_x.T])        # (2, D, 4H)
-    w_h = np.stack([p.fwd.w_h.T, p.bwd.w_h.T])        # (2, H, 4H)
-    bias = np.stack([p.fwd.b, p.bwd.b])               # (2, 4H)
-    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))  # (T, B, D)
-    xs = np.stack([x_tm, x_tm[::-1]])                 # (2, T, B, D) time-major
-    xp = np.matmul(xs.reshape(2, t_len * batch, d_in), w_x)
+    w_x = np.stack([p.w_x.T for p in ps])             # (D, I, 4H)
+    w_h = np.stack([p.w_h.T for p in ps])             # (D, H, 4H)
+    bias = np.stack([p.b for p in ps])                # (D, 4H)
+    xp = np.matmul(xs.reshape(n_dir, t_len * batch, d_in), w_x)
     xp += bias[:, None, :]
-    xp = np.ascontiguousarray(xp.reshape(2, t_len, batch, 4 * hid).transpose(1, 0, 2, 3))
+    xp = np.ascontiguousarray(xp.reshape(n_dir, t_len, batch, 4 * hid).transpose(1, 0, 2, 3))
 
-    gates = np.empty((t_len, 2, batch, 4 * hid))  # activated; candidate block holds tanh
-    cs = np.empty((t_len, 2, batch, hid))
+    gates = np.empty((t_len, n_dir, batch, 4 * hid))  # activated; candidate block holds tanh
+    cs = np.empty((t_len, n_dir, batch, hid))
     tanh_c = np.empty_like(cs)
     hs = np.empty_like(cs)
-    h = np.zeros((2, batch, hid))
-    c = np.zeros((2, batch, hid))
+    h = np.zeros((n_dir, batch, hid))
+    c = np.zeros((n_dir, batch, hid))
     for t in range(t_len):
         a = gates[t]
         np.matmul(h, w_h, out=a)
@@ -475,47 +323,45 @@ def bilstm_forward_batch(x: np.ndarray, p: BiLstmParams):
         np.exp(a, out=a)
         a += 1.0
         np.reciprocal(a, out=a)
-        gg = _tanh(g_raw)
+        gg = tanh(g_raw)
         a[:, :, g_lo:g_hi] = gg
         np.multiply(a[:, :, hid:g_lo], c, out=cs[t])
         cs[t] += a[:, :, :hid] * gg
         c = cs[t]
-        _tanh(c, out=tanh_c[t])
+        tanh(c, out=tanh_c[t])
         np.multiply(a[:, :, g_hi:], tanh_c[t], out=hs[t])
         h = hs[t]
 
-    out = np.empty((batch, t_len, 2 * hid))
-    out[:, :, :hid] = hs[:, 0].transpose(1, 0, 2)
-    out[:, :, hid:] = hs[::-1, 1].transpose(1, 0, 2)
-    cache = (xs, p, w_h, gates, cs, tanh_c, hs)
-    return out, cache
+    cache = (xs, ps, w_h, gates, cs, tanh_c, hs)
+    return hs.transpose(1, 0, 2, 3), cache
 
 
-def bilstm_backward_batch(cache, dout):
-    xs, p, w_h, gates, cs, tanh_c, hs = cache
-    two, t_len, batch, d_in = xs.shape
-    hid = p.hidden_size
+def lstm_backward(cache, dhs: np.ndarray):
+    """Backward of lstm_forward.  dhs: gradient w.r.t. every hidden output
+    (D, T, B, H); it is not modified.
+
+    Returns (dxs (D, T, B, I), [(dw_x, dw_h, db) per direction]).
+    """
+    xs, ps, w_h, gates, cs, tanh_c, hs = cache
+    n_dir, t_len, batch, d_in = xs.shape
+    hid = ps[0].hidden_size
     g_lo, g_hi = 2 * hid, 3 * hid
 
-    dhs = np.empty((t_len, 2, batch, hid))
-    dhs[:, 0] = dout[:, :, :hid].transpose(1, 0, 2)
-    dhs[:, 1] = dout[:, ::-1, hid:].transpose(1, 0, 2)
-
-    # Direction-major so each half flattens without a copy afterwards.
-    da_all = np.empty((2, t_len, batch, 4 * hid))
-    dh_next = np.zeros((2, batch, hid))
-    dc_next = np.zeros((2, batch, hid))
-    w_h_t = np.ascontiguousarray(w_h.transpose(0, 2, 1))  # (2, 4H, H)
+    # Direction-major so each direction flattens without a copy afterwards.
+    da_all = np.empty((n_dir, t_len, batch, 4 * hid))
+    dh_next = np.zeros((n_dir, batch, hid))
+    dc_next = np.zeros((n_dir, batch, hid))
+    w_h_t = np.ascontiguousarray(w_h.transpose(0, 2, 1))  # (D, 4H, H)
     # scratch buffers reused every step to avoid per-iteration allocation
-    dc = np.empty((2, batch, hid))
-    dho = np.empty_like(dc)
-    u = np.empty_like(dc)
+    dh = np.empty((n_dir, batch, hid))
+    dc = np.empty_like(dh)
+    dho = np.empty_like(dh)
+    u = np.empty_like(dh)
     for t in range(t_len - 1, -1, -1):
         g = gates[t]
         gi, gf, gg, go = g[:, :, :hid], g[:, :, hid:g_lo], g[:, :, g_lo:g_hi], g[:, :, g_hi:]
         tc = tanh_c[t]
-        dh = dhs[t]
-        dh += dh_next
+        np.add(dhs[:, t], dh_next, out=dh)
         np.multiply(dh, go, out=dho)                      # dh * o-gate
         np.multiply(tc, tc, out=u)
         np.subtract(1.0, u, out=u)                        # 1 - tanh(c)^2
@@ -546,31 +392,51 @@ def bilstm_backward_batch(cache, dout):
         np.matmul(da, w_h_t, out=dh_next)
 
     grads = []
-    for d in range(2):
+    dxs = np.empty((n_dir, t_len * batch, d_in))
+    for d, p in enumerate(ps):
         da_flat = da_all[d].reshape(t_len * batch, 4 * hid)
-        x_flat = xs[d].reshape(t_len * batch, d_in)
-        hp_flat = np.empty((t_len, batch, hid))
-        hp_flat[0] = 0.0
-        hp_flat[1:] = hs[:-1, d]
-        dwx = da_flat.T @ x_flat
-        dwh = da_flat.T @ hp_flat.reshape(t_len * batch, hid)
+        h_prev = np.empty((t_len, batch, hid))
+        h_prev[0] = 0.0
+        h_prev[1:] = hs[:-1, d]
+        dwx = da_flat.T @ xs[d].reshape(t_len * batch, d_in)
+        dwh = da_flat.T @ h_prev.reshape(t_len * batch, hid)
         db = da_flat.sum(axis=0)
         grads.append((dwx, dwh, db))
-    dx_tm = (da_all[0].reshape(-1, 4 * hid) @ p.fwd.w_x).reshape(t_len, batch, d_in)
-    dx_tm += (da_all[1].reshape(-1, 4 * hid) @ p.bwd.w_x).reshape(t_len, batch, d_in)[::-1]
-    dx = np.ascontiguousarray(dx_tm.transpose(1, 0, 2))
-    return dx, (grads[0], grads[1])
+        np.matmul(da_flat, p.w_x, out=dxs[d])
+    return dxs.reshape(n_dir, t_len, batch, d_in), grads
 
 
-def bilstm_forward(x: np.ndarray, p: BiLstmParams) -> np.ndarray:
-    """Single sequence: x (T, D) -> (T, 2H), forward half first."""
+# ---------------------------------------------------------------------------
+# BiLSTM
+# ---------------------------------------------------------------------------
+
+def bilstm_forward_batch(x: np.ndarray, p: BiLstmParams):
+    """x: (B, T, D) -> (concatenated hidden (B, T, 2H), cache); zero initial states.
+
+    The sequence and its time reversal are the two directions of one
+    lstm_forward call, so each time step costs a single batched matmul.
+    """
     x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"expected (time, features) input, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise DomainError("BiLSTM input sequence is empty")
-    out, _ = bilstm_forward_batch(x[None], p)
-    return out[0]
+    batch, t_len, _ = x.shape
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))  # (T, B, D)
+    hs, cache = lstm_forward(np.stack([x_tm, x_tm[::-1]]), [p.fwd, p.bwd])
+    hid = p.hidden_size
+    out = np.empty((batch, t_len, 2 * hid))
+    out[:, :, :hid] = hs[0].transpose(1, 0, 2)
+    out[:, :, hid:] = hs[1, ::-1].transpose(1, 0, 2)
+    return out, cache
+
+
+def bilstm_backward_batch(cache, dout):
+    batch, t_len, two_h = dout.shape
+    hid = two_h // 2
+    dhs = np.empty((2, t_len, batch, hid))
+    dhs[0] = dout[:, :, :hid].transpose(1, 0, 2)
+    dhs[1] = dout[:, ::-1, hid:].transpose(1, 0, 2)
+    dxs, (g_fwd, g_bwd) = lstm_backward(cache, dhs)
+    dx_tm = dxs[0]
+    dx_tm += dxs[1, ::-1]
+    return np.ascontiguousarray(dx_tm.transpose(1, 0, 2)), (g_fwd, g_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +458,7 @@ def attention_forward_batch(h: np.ndarray, p: AttentionParams):
     z = h.reshape(batch * t_len, k) @ p.w_h.T
     z += p.b_h
     u = _tanh_large(z).reshape(batch, t_len, -1)  # (B, T, A)
-    e = u @ p.v                                   # (B, T)
-    e_shift = e - e.max(axis=1, keepdims=True)
-    exp = np.exp(e_shift)
-    alpha = exp / exp.sum(axis=1, keepdims=True)
+    alpha = softmax(u @ p.v, axis=1)              # (B, T)
     context = np.einsum("bt,btk->bk", alpha, h)
     return context, alpha, (h, p, u, alpha)
 
@@ -618,15 +481,6 @@ def attention_backward_batch(cache, dcontext, dalpha: np.ndarray | None = None):
     return dh, (dwh, dbh, dv)
 
 
-def attention_forward(h: np.ndarray, p: AttentionParams):
-    """Single sequence: h (T, K) -> (context (K,), weights (T,))."""
-    h = as_tensor(h)
-    if h.ndim != 2:
-        raise ShapeError(f"expected (time, hidden) input, got shape {h.shape}")
-    context, alpha, _ = attention_forward_batch(h[None], p)
-    return context[0], alpha[0]
-
-
 # ---------------------------------------------------------------------------
 # Dense head
 # ---------------------------------------------------------------------------
@@ -645,15 +499,6 @@ def dense_backward_batch(cache, dy):
     db = dy.sum(axis=0)
     dx = dy @ p.w
     return dx, (dw, db)
-
-
-def dense_forward(x: np.ndarray, p: DenseParams) -> np.ndarray:
-    """Single vector: x (I,) -> (O,)."""
-    x = as_tensor(x)
-    if x.shape != (p.w.shape[1],):
-        raise ShapeError(f"input must be ({p.w.shape[1]},), got {x.shape}")
-    y, _ = dense_forward_batch(x[None], p)
-    return y[0]
 
 
 # ---------------------------------------------------------------------------

@@ -198,18 +198,6 @@ def model_backward_batch(cache, dy) -> dict[str, np.ndarray]:
     return grads
 
 
-def model_forward(x: np.ndarray, params: ModelParams, config: ModelConfig,
-                  mode: str = "infer", rng: SeededRng | None = None):
-    """Single window: x (W, 1) or (W,) -> (y (N,), alpha (T',))."""
-    x = as_tensor(x)
-    if x.ndim == 1:
-        x = x[:, None]
-    if mode not in ("train", "infer"):
-        raise DomainError(f"mode must be 'train' or 'infer', got {mode!r}")
-    y, alpha, _ = model_forward_batch(x[None], params, config, mode == "train", rng)
-    return y[0], alpha[0]
-
-
 def predict_batches(x: np.ndarray, params: ModelParams, config: ModelConfig,
                     chunk: int = 256) -> np.ndarray:
     """Inference over many windows, chunked; deterministic (no dropout)."""

@@ -1,4 +1,5 @@
-"""Dense float64 array arithmetic: matmul, activations, stable softmax.
+"""Float64 array primitives shared by the layers: tensor coercion, tanh and
+the stable softmax.
 
 All arrays are row-major 64-bit floats (numpy ndarrays).  Every function is
 pure: identical inputs give bitwise-identical outputs.
@@ -8,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-
-# Sigmoid argument clip; exp(-60) ~ 8.8e-27 is far below float64 resolution
-# of 1, so clipping changes no representable output value.
-_SIGMOID_CLIP = 60.0
+from .errors import DomainError
 
 
 def as_tensor(x) -> np.ndarray:
@@ -20,40 +17,23 @@ def as_tensor(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a 2-D pair with 64-bit accumulation."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
+def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """tanh computed as 1 - 2/(1 + e^{2x}), into `out` when given.
 
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIGMOID_CLIP, _SIGMOID_CLIP)))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-_ELEMENTWISE = {"tanh": tanh, "sigmoid": sigmoid, "relu": relu}
-
-
-def elementwise(x: np.ndarray, f: str) -> np.ndarray:
-    """Apply one of {tanh, sigmoid, relu} per element; rejects non-finite input."""
-    if f not in _ELEMENTWISE:
-        raise DomainError(f"unknown elementwise function {f!r}; expected one of {sorted(_ELEMENTWISE)}")
-    x = as_tensor(x)
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"elementwise({f}) requires finite input")
-    return _ELEMENTWISE[f](x)
+    The exp-based form is markedly faster than np.tanh on cache-resident
+    arrays.  It is accurate in absolute, not relative, terms: it differs from
+    np.tanh by at most 3.4e-16, but near 0 the relative error grows like
+    2e-16/|x|, and inputs smaller than about 1e-17 in magnitude give 0.
+    Both overflow tails saturate to exactly +/-1, without a warning.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        t = np.multiply(x, 2.0, out=out) if out is not None else x * 2.0
+        np.exp(t, out=t)
+        t += 1.0
+        np.reciprocal(t, out=t)
+    t *= -2.0
+    t += 1.0
+    return t
 
 
 def softmax(e: np.ndarray, axis: int = -1) -> np.ndarray:

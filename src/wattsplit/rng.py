@@ -135,8 +135,3 @@ class SeededRng:
             raise DomainError("permutation length must be non-negative")
         keys = self.next_u64(n)
         return np.argsort(keys, kind="stable")
-
-
-def rng_uniform(rng: SeededRng, shape, lo: float, hi: float) -> np.ndarray:
-    """Free-function alias for :meth:`SeededRng.uniform`."""
-    return rng.uniform(shape, lo, hi)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -240,6 +241,28 @@ def test_disaggregate_writes_estimates(trained, tmp_path):
         assert len(lines) > 1000
         watts = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.all(watts >= 0.0)
+
+
+def test_eval_normalizes_with_the_saved_stats(trained, tmp_path):
+    """eval scales its input by the training stats, so the scene at three times
+    the power gives a different report; stats recomputed from the scene would
+    cancel the scale and hide the difference."""
+    _, scene, out_dir, _ = trained
+    agg, apps, names = data.read_scene_csv(scene)
+    scaled = tmp_path / "scaled.csv"
+    data.write_scene_csv(scaled, data.TimeSeries(agg.timestamps, 3.0 * agg.values),
+                         [data.TimeSeries(a.timestamps, 3.0 * a.values) for a in apps], names)
+    reports = []
+    for name, path in (("plain", scene), ("scaled", scaled)):
+        run = tmp_path / name
+        run.mkdir()
+        for artifact in ("checkpoint.bin", "norm_stats.json"):
+            shutil.copy(out_dir / artifact, run / artifact)
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"data": str(path), "out_dir": str(run), "window_len": 32}))
+        assert cli.main(["eval", "--config", str(cfg)]) == 0
+        reports.append((run / "report.csv").read_text())
+    assert reports[0] != reports[1]
 
 
 def test_eval_rejects_mismatched_scene(trained, tmp_path):

@@ -357,6 +357,21 @@ def test_scene_csv_rejects_bad_files(tmp_path):
         data.read_scene_csv(bad)
 
 
+def test_scene_csv_rejects_non_finite_values(tmp_path):
+    """nan or inf in any column is a parse error at its line, as in parse_channel."""
+    rows = ["0,10.0,5.0,5.0", "10,12.0,6.0,6.0", "20,14.0,7.0,7.0"]
+    path = tmp_path / "scene.csv"
+    path.write_text("timestamp,aggregate,fridge,heater\n" + "\n".join(rows) + "\n")
+    assert len(data.read_scene_csv(path)[0]) == 3
+    for lineno, row in ((3, "10,nan,6.0,6.0"), (4, "20,14.0,7.0,inf")):
+        bad = list(rows)
+        bad[lineno - 2] = row
+        path.write_text("timestamp,aggregate,fridge,heater\n" + "\n".join(bad) + "\n")
+        with pytest.raises(ParseError) as exc:
+            data.read_scene_csv(path)
+        assert exc.value.line == lineno
+
+
 def test_write_scene_csv_validation(tmp_path):
     agg = data.TimeSeries([0], [1.0])
     with pytest.raises(ShapeError):

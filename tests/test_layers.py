@@ -67,16 +67,6 @@ def test_conv_output_length_formula():
         assert out.shape[1] == (t_in - l_k) // stride + 1
 
 
-def test_conv_single_sample_wrapper_is_channel_major():
-    rng = SeededRng(3)
-    x = rng.uniform((2, 9), -1.0, 1.0)  # (C, T)
-    p = layers.ConvParams(rng.uniform((4, 2, 3), -1.0, 1.0), rng.uniform(4, -1.0, 1.0))
-    out = layers.conv1d_forward(x, p)
-    batch_out, _ = layers.conv1d_forward_batch(x.T[None], p)
-    assert out.shape == (4, 7)
-    assert np.array_equal(out, batch_out[0].T)
-
-
 def test_conv_validation():
     p = layers.ConvParams(np.zeros((2, 1, 5)), np.zeros(2))
     with pytest.raises(ShapeError):
@@ -123,13 +113,6 @@ def test_maxpool_backward_zeroes_dropped_remainder():
     assert dx[0, 4, 0] == 0.0
 
 
-def test_maxpool_single_sample_wrapper():
-    x = SeededRng(1).uniform((3, 8), -1.0, 1.0)  # (F, T)
-    out = layers.maxpool1d_forward(x, 2)
-    assert out.shape == (3, 4)
-    assert np.array_equal(out, np.maximum(x[:, 0::2], x[:, 1::2]))
-
-
 def test_maxpool_validation():
     with pytest.raises(DomainError):
         layers.maxpool1d_forward_batch(np.zeros((1, 4, 1)), 0)
@@ -168,59 +151,53 @@ def _lstm_params(seed, d_in=3, hid=4):
                              rng.uniform(4 * hid, -0.5, 0.5))
 
 
+def _lstm(x, p):
+    """The unidirectional LSTM, the 1-direction kernel call: (B, T, D) -> (B, T, H)."""
+    hs, _ = layers.lstm_forward(x.transpose(1, 0, 2)[None], [p])
+    return hs[0].transpose(1, 0, 2)
+
+
 def test_lstm_seq_matches_reference():
     for seed in range(10):
         p = _lstm_params(seed)
         x = SeededRng(seed + 100).uniform((2, 6, 3), -1.0, 1.0)
-        hs, cache = layers.lstm_seq_forward(x, p)
+        hs = _lstm(x, p)
         ref, _, _ = lstm_reference(x, p)
         assert np.allclose(hs, ref, atol=1e-12)
 
 
-def test_lstm_seq_with_initial_state():
-    p = _lstm_params(0)
-    rng = SeededRng(50)
-    x = rng.uniform((2, 4, 3), -1.0, 1.0)
-    h0 = rng.uniform((2, 4), -1.0, 1.0)
-    c0 = rng.uniform((2, 4), -1.0, 1.0)
-    hs, _ = layers.lstm_seq_forward(x, p, h0, c0)
-    ref, _, _ = lstm_reference(x, p, h0, c0)
-    assert np.allclose(hs, ref, atol=1e-12)
-
-
-def test_lstm_cell_step_matches_sequence():
-    p = _lstm_params(2)
-    rng = SeededRng(60)
-    x = rng.uniform((1, 3, 3), -1.0, 1.0)
-    state = layers.zero_state(4)
-    for t in range(3):
-        state = layers.lstm_cell_step(x[0, t], state, p)
-    ref, h_last, c_last = lstm_reference(x, p)
-    assert np.allclose(state.h, h_last[0], atol=1e-12)
-    assert np.allclose(state.c, c_last[0], atol=1e-12)
-
-
 def test_lstm_forget_gate_controls_memory():
-    """With forget gate saturated open and input gate shut, the cell holds state."""
+    """One input step loads the cell from zero state; with the forget gate
+    saturated open the cell then holds that value, and shut it forgets."""
     hid = 2
     w_x = np.zeros((4 * hid, 1))
-    w_h = np.zeros((4 * hid, hid))
+    w_x[0 * hid:1 * hid] = 120.0          # input gate opens only on input 1
+    w_x[2 * hid:3 * hid, 0] = [0.5, -0.3]  # candidate tanh(0.5), tanh(-0.3) on input 1
     b = np.zeros(4 * hid)
-    b[0 * hid:1 * hid] = -60.0  # input gate closed
+    b[0 * hid:1 * hid] = -60.0  # input gate closed on input 0
+    b[3 * hid:4 * hid] = 60.0   # output gate open, so h = tanh(c)
+    x = np.zeros((1, 6, 1))
+    x[0, 0, 0] = 1.0
+    loaded = np.tanh(np.tanh([0.5, -0.3]))
+
     b[1 * hid:2 * hid] = 60.0   # forget gate open
-    p = layers.LstmParams(w_x, w_h, b)
-    c0 = np.array([[0.7, -0.3]])
-    _, cache = layers.lstm_seq_forward(np.zeros((1, 5, 1)), p, np.zeros((1, 2)), c0)
-    c_final = cache[6]
-    assert np.allclose(c_final, c0, atol=1e-12)
+    hs = _lstm(x, layers.LstmParams(w_x, np.zeros((4 * hid, hid)), b))
+    assert np.allclose(hs[0], loaded, atol=1e-12)
+
+    b[1 * hid:2 * hid] = -60.0  # forget gate shut
+    hs = _lstm(x, layers.LstmParams(w_x, np.zeros((4 * hid, hid)), b))
+    assert np.allclose(hs[0, 0], loaded, atol=1e-12)
+    assert np.allclose(hs[0, 1:], 0.0, atol=1e-12)
 
 
 def test_lstm_validation():
     p = _lstm_params(0)
     with pytest.raises(ShapeError):
-        layers.lstm_seq_forward(np.zeros((1, 3, 5)), p)  # wrong input width
+        layers.lstm_forward(np.zeros((1, 3, 1, 5)), [p])  # wrong input width
     with pytest.raises(ShapeError):
-        layers.lstm_seq_forward(np.zeros((1, 3, 3)), p, np.zeros((2, 4)), np.zeros((2, 4)))
+        layers.lstm_forward(np.zeros((2, 3, 1, 3)), [p])  # 2 directions, 1 parameter set
+    with pytest.raises(DomainError):
+        layers.lstm_forward(np.zeros((1, 0, 1, 3)), [p])
     with pytest.raises(ShapeError):
         layers.LstmParams(np.zeros((6, 2)), np.zeros((6, 1)), np.zeros(6))  # rows % 4 != 0
 
@@ -244,14 +221,6 @@ def test_bilstm_concatenates_both_directions():
         assert out.shape == (2, 5, 8)
         assert np.allclose(out[:, :, :4], fwd_ref, atol=1e-12)
         assert np.allclose(out[:, :, 4:], bwd_ref[:, ::-1], atol=1e-12)
-
-
-def test_bilstm_single_sample_wrapper():
-    p = _bilstm_params(3)
-    x = SeededRng(70).uniform((5, 3), -1.0, 1.0)
-    out = layers.bilstm_forward(x, p)
-    batch_out, _ = layers.bilstm_forward_batch(x[None], p)
-    assert np.array_equal(out, batch_out[0])
 
 
 def test_bilstm_validation():
@@ -315,16 +284,6 @@ def test_attention_context_is_convex_combination():
     assert np.allclose(context[0], (alpha[0] * np.arange(5)).sum(), atol=1e-12)
 
 
-def test_attention_single_sample_wrapper():
-    rng = SeededRng(9)
-    h = rng.uniform((6, 4), -1.0, 1.0)
-    p = layers.AttentionParams(rng.uniform((3, 4)), rng.uniform(3), rng.uniform(3))
-    context, alpha = layers.attention_forward(h, p)
-    batch_c, batch_a, _ = layers.attention_forward_batch(h[None], p)
-    assert np.array_equal(context, batch_c[0])
-    assert np.array_equal(alpha, batch_a[0])
-
-
 def test_attention_validation():
     p = layers.AttentionParams(np.zeros((3, 4)), np.zeros(3), np.zeros(3))
     with pytest.raises(DomainError):
@@ -348,14 +307,6 @@ def test_dense_is_affine():
     # no nonlinearity: doubling the centered input doubles the centered output
     y2, _ = layers.dense_forward_batch(2.0 * x, p)
     assert np.allclose(y2 - p.b, 2.0 * (y - p.b), atol=1e-12)
-
-
-def test_dense_single_sample_wrapper():
-    rng = SeededRng(5)
-    p = layers.DenseParams(rng.uniform((2, 3)), rng.uniform(2))
-    x = rng.uniform(3)
-    assert np.array_equal(layers.dense_forward(x, p),
-                          layers.dense_forward_batch(x[None], p)[0][0])
 
 
 def test_dense_validation():

@@ -123,18 +123,6 @@ def test_forward_rejects_wrong_window():
         model.model_forward_batch(np.zeros((2, 8, 1)), params, cfg, train=False)
 
 
-def test_single_window_wrapper_matches_batch():
-    cfg = tiny_config()
-    params = model.init_model_params(cfg, SeededRng(4))
-    x = SeededRng(5).uniform((cfg.window_len,))
-    y, alpha = model.model_forward(x, params, cfg, mode="infer")
-    yb, ab, _ = model.model_forward_batch(x[None, :, None], params, cfg, train=False)
-    assert np.array_equal(y, yb[0])
-    assert np.array_equal(alpha, ab[0])
-    with pytest.raises(DomainError):
-        model.model_forward(x, params, cfg, mode="predict")
-
-
 def test_inference_is_deterministic_despite_dropout_config():
     cfg = tiny_config(dropout_rate=0.5)
     params = model.init_model_params(cfg, SeededRng(6))

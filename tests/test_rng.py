@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wattsplit.errors import DomainError
-from wattsplit.rng import SeededRng, rng_uniform
+from wattsplit.rng import SeededRng
 
 
 def test_same_seed_same_stream():
@@ -61,12 +61,6 @@ def test_uniform_empty_range_rejected():
         SeededRng(0).uniform(10, 1.0, 1.0)
     with pytest.raises(DomainError):
         SeededRng(0).uniform(10, 2.0, -2.0)
-
-
-def test_uniform_free_function_matches_method():
-    a = rng_uniform(SeededRng(5), (4, 4), -1.0, 1.0)
-    b = SeededRng(5).uniform((4, 4), -1.0, 1.0)
-    assert np.array_equal(a, b)
 
 
 def test_normal_moments():
